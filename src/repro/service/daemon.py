@@ -42,6 +42,7 @@ import socket
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..backends import resolve_backend_id
 from ..diagnostics.engine import DiagnosticEngine
 from ..diagnostics.errors import ProtocolError
 from ..observability import StatisticsRegistry, use_statistics
@@ -196,6 +197,12 @@ class CompileDaemon:
         self._shutdown.set()
         sock, self._sock = self._sock, None
         if sock is not None:
+            # close() alone does not wake a thread blocked in accept();
+            # shutdown() does, so the accept thread exits at once.
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 sock.close()
             except OSError:
@@ -320,6 +327,7 @@ class CompileDaemon:
             check_equivalence=request.check_equivalence,
             seed=request.seed,
             kernel_hash=kernel_hash,
+            backend=resolve_backend_id(request.backend or self.service.backend),
         )
 
     def _handle_compile(self, message: Dict[str, Any]) -> Dict[str, Any]:
