@@ -2,8 +2,9 @@
 
 The adaptor proves LLVM IR can feed *an* HLS engine; this package makes
 "an" literal.  :mod:`.base` defines the :class:`HLSBackend` contract and
-registry; :mod:`.static` re-homes the Vitis-style statically scheduled
-engine; :mod:`.dataflow` adds a dynamically scheduled handshake-circuit
+registry; :mod:`.driver` walks the loop tree and composes regions for
+every backend; :mod:`.static` is the Vitis-style statically scheduled
+engine; :mod:`.dataflow` is a dynamically scheduled handshake-circuit
 engine whose loop II emerges from token-flow simulation.
 
 Typical use::

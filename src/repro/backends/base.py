@@ -8,7 +8,9 @@ implements (frontend checking, directive vocabulary, ``synthesize`` →
 single place flows, the service, DSE and the CLI resolve a backend id
 into a constructed engine.
 
-Two backends ship:
+Two backends ship, both built on the shared loop-tree walk in
+:mod:`repro.backends.driver` and differing only in the policies they
+hand it (block cost, overlapped innermost loops, control area):
 
 * ``static`` (:mod:`repro.backends.static`) — the Vitis-style statically
   scheduled engine (ASAP/list scheduling + iterative modulo scheduling)
@@ -84,9 +86,11 @@ class HLSBackend:
 
     Subclasses set the class-level ``id``/``capabilities``, accept the
     canonical ``(device, library, strict_frontend)`` construction
-    parameters, and implement :meth:`synthesize`.  Everything else —
-    directive projection for DSE dedup, lint applicability — has
-    vocabulary-driven defaults.
+    parameters, and implement :meth:`synthesize` — usually by deriving
+    from :class:`~repro.backends.driver.SynthesisDriver`, which
+    implements it over three policy hooks.  Everything else — directive
+    projection for DSE dedup, lint applicability — has vocabulary-driven
+    defaults.
     """
 
     #: Registry key, report field and CLI spelling.  Stable.

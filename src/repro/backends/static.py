@@ -1,28 +1,44 @@
 """``backends.static`` — the Vitis-style statically scheduled engine.
 
-A thin contract adapter over :class:`repro.hls.engine.HLSEngine`: the
-scheduling/binding/report code is untouched, so reports stay
-bit-identical to the pre-registry engine (the backend-neutrality sweep
-asserts exactly that).  What this class adds is the contract surface —
-capabilities, directive vocabulary, the backend id stamped on reports.
+The policy this backend hands the :mod:`~repro.backends.driver`:
+
+* a straight-line block costs its list-scheduled length, and its area is
+  what the binder needs to share functional units across that schedule;
+* an innermost loop overlaps its iterations only under a ``pipeline``
+  directive: iterative modulo scheduling at the requested II gives
+  ``IL + (trip - 1) * II + 1`` cycles, plus pipeline-control area.  A
+  loop without the directive runs sequentially;
+* a central FSM costs 200 LUT / 300 FF per function and 50 LUT / 70 FF
+  per loop.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Tuple
 
-from ..hls.device import Device
-from ..hls.engine import HLSEngine
-from ..hls.operators import OperatorLibrary
-from ..hls.report import SynthReport
-from ..ir.module import Module
-from .base import BackendCapabilities, HLSBackend, register_backend
+from ..hls.binding import AreaEstimate, bind_block
+from ..hls.cdfg import BlockDFG
+from ..hls.memory import MemoryModel
+from ..hls.modulo import modulo_schedule
+from ..hls.schedule import list_schedule
+from ..ir.analysis.loops import Loop
+from ..ir.metadata import LoopDirectives
+from ..ir.module import BasicBlock
+from .base import BackendCapabilities, register_backend
+from .driver import Overlap, SynthesisDriver
 
 __all__ = ["StaticBackend"]
 
+# Pipelining is not free: the controller (valid-bit shift registers, the
+# II counter, flush logic) costs LUTs, and every overlapped stage keeps its
+# cross-stage values in registers.  Charged per pipelined loop; stage count
+# is ceil(IL / II), the steady-state overlap depth.
+_PIPELINE_CONTROL_LUT = 40
+_PIPELINE_STAGE_FF = 48
+
 
 @register_backend
-class StaticBackend(HLSBackend):
+class StaticBackend(SynthesisDriver):
     """Static scheduling: ASAP/list scheduling plus iterative modulo
     scheduling for pipelined loops, FU sharing through the binder."""
 
@@ -33,23 +49,33 @@ class StaticBackend(HLSBackend):
         respects_ii=True,
         shares_functional_units=True,
     )
+    function_control = (200, 300)
+    loop_control = (50, 70)
 
-    def __init__(
+    def block_cost(self, dfg: BlockDFG) -> Tuple[int, AreaEstimate]:
+        schedule = list_schedule(dfg)
+        return schedule.length, bind_block(dfg, schedule.starts, self.library)
+
+    def overlapped_loop(
         self,
-        device: Union[str, Device] = "xc7z020",
-        library: Optional[OperatorLibrary] = None,
-        strict_frontend: bool = True,
-    ):
-        super().__init__(
-            device=device, library=library, strict_frontend=strict_frontend
+        loop: Loop,
+        body: BasicBlock,
+        directives: LoopDirectives,
+        unroll: int,
+        trips: Tuple[int, int],
+        memory: MemoryModel,
+    ) -> Optional[Overlap]:
+        if not directives.pipeline:
+            return None
+        dfg, carried = self.body_dfg(loop, body, memory, unroll)
+        ms = modulo_schedule(dfg, carried, target_ii=directives.ii)
+        il = max(ms.length, 1)
+        ii = ms.ii
+        lat_min, lat_max = (
+            il + max(trip - 1, 0) * ii + 1 if trip else 1 for trip in trips
         )
-        self._engine = HLSEngine(
-            device=self.device,
-            library=self.library,
-            strict_frontend=strict_frontend,
-        )
-
-    def synthesize(self, module: Module, top: Optional[str] = None) -> SynthReport:
-        report = self._engine.synthesize(module, top)
-        report.backend = self.id
-        return report
+        area = bind_block(dfg, ms.starts, self.library, ii=ii)
+        stages = max(1, -(-il // max(ii, 1)))
+        area.lut += _PIPELINE_CONTROL_LUT
+        area.ff += _PIPELINE_STAGE_FF * stages
+        return Overlap(il, ii, lat_min, lat_max, area, ms.res_mii, ms.rec_mii)

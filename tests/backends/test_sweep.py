@@ -1,13 +1,15 @@
 """Backend-neutrality sweep over the adapted suite.
 
-Two claims the registry refactor must keep true forever:
+Claims that must stay true for every registered backend:
 
 * every backend accepts every adapted MINI kernel — the adaptor's output
   is the *contract* frontend dialect, not something tuned to one engine;
-* ``backends.static`` is a zero-cost adapter: its reports are
-  bit-identical to the raw pre-registry :class:`repro.hls.engine.HLSEngine`
-  (same scheduling, same binding, same numbers — only the stamped
-  ``backend`` id is new, and it matches the report's default).
+* ``backends.static`` reports stay bit-identical to what the raw
+  pre-registry engine reported: the synthesis goldens in
+  ``tests/golden/synth`` were written by that engine;
+* ``synthesize`` runs its frontend check through the backend's
+  ``frontend`` attribute, exactly once, so a caller can wrap it (the
+  traced benchmark times ``hls.frontend`` that way).
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ import pytest
 
 from repro.adaptor import HLSAdaptor
 from repro.backends import backend_ids, create_backend
-from repro.hls.engine import HLSEngine
 from repro.ir.transforms import standard_cleanup_pipeline
 from repro.mlir.passes import convert_to_llvm, lowering_pipeline
 from repro.service.service import resolve_config
 from repro.workloads import build_kernel
 from repro.workloads.suite import SUITE_SIZES
+
+from ..golden.test_synth_goldens import load_golden, report_dict
 
 KERNELS = sorted(SUITE_SIZES["MINI"])
 
@@ -55,12 +58,31 @@ def test_every_backend_accepts_every_kernel(adapted, kernel):
 @pytest.mark.tier1
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_static_backend_bit_identical_to_raw_engine(adapted, kernel):
-    via_registry = create_backend("static").synthesize(adapted[kernel])
-    raw = HLSEngine().synthesize(adapted[kernel])
-    # Dataclass equality covers every field — latencies, resources,
-    # fu_instances, loop table, warnings — and the stamped backend id
-    # equals the report default, so the comparison is exact.
-    assert via_registry == raw, kernel
+    report = create_backend("static").synthesize(adapted[kernel])
+    # Every field — latencies, resources, fu_instances, loop table,
+    # warnings — against the raw engine's recorded report.
+    raw = load_golden("mini")[f"{kernel}/optimized/adaptor/static"]
+    assert report_dict(report) == raw, kernel
+
+
+class _RecordingFrontend:
+    def __init__(self, frontend):
+        self.frontend = frontend
+        self.checked = []
+
+    def check(self, module):
+        self.checked.append(module)
+        return self.frontend.check(module)
+
+
+@pytest.mark.parametrize("backend_id", backend_ids())
+def test_synthesize_checks_through_the_frontend_attribute(adapted, backend_id):
+    backend = create_backend(backend_id)
+    recorder = _RecordingFrontend(backend.frontend)
+    backend.frontend = recorder
+    report = backend.synthesize(adapted["gemm"])
+    assert recorder.checked == [adapted["gemm"]]
+    assert report == create_backend(backend_id).synthesize(adapted["gemm"])
 
 
 def test_dataflow_reports_emergent_ii(adapted):
