@@ -30,7 +30,6 @@ from ..diagnostics.errors import (
     PipelineConfigError,
 )
 from ..diagnostics.guard import PassGuard
-from ..ir.fastpath import ir_fast_enabled
 from ..ir.module import Module
 from ..ir.snapshot import ModuleSnapshot
 from ..ir.transforms import DeadCodeElimination, PassManager
@@ -268,8 +267,8 @@ class HLSAdaptor:
         tracer = get_tracer()
         try:
             # Boundary verify: modules fresh from MLIR lowering + cleanup
-            # were just verified there, so fast mode can skip the duplicate
-            # sweep when the version vector proves nothing changed since.
+            # were just verified there, so the duplicate sweep is skipped
+            # when the version vector proves nothing changed since.
             verify_module(module, assume_clean=True)
         except VerificationError as exc:
             diag = self.engine.error(
@@ -325,12 +324,12 @@ class HLSAdaptor:
                 degradations=len(degradations),
             )
 
-        # In fast mode the pass manager already re-verified every function
-        # the pipeline touched at its deferred flush, and the entry verify
+        # With per-pass verification the pass manager already re-verified
+        # every function the pipeline touched (after each pass under a
+        # guard, at its deferred flush otherwise), and the entry verify
         # above covered the rest — a second full sweep would be pure
-        # duplicate work.  Without per-pass verification (or with the flag
-        # off) this final check is the only/authoritative one, so it stays.
-        if not (self.verify_each and ir_fast_enabled()):
+        # duplicate work.  Without it this final check is the only one.
+        if not self.verify_each:
             verify_module(module)
         module.source_flow = "mlir-adaptor"
         lint_report = None

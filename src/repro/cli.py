@@ -15,9 +15,6 @@ Subcommands (each was once its own ``python -m`` entry point)::
     dse          design-space exploration (Pareto frontier per kernel)
     bench        paper-style optimised-vs-baseline latency table
 
-The per-package spellings (``python -m repro.service`` etc.) still work
-but are deprecated shims that print a pointer here.
-
 Exit status: ``0`` on success, ``1`` for failing verdicts (mismatch,
 lint findings, empty frontier), ``2`` for usage/configuration errors.
 """

@@ -13,16 +13,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import Dict
 
-from ..diagnostics.errors import CompilationError
-from ..service.cache import default_cache_dir
 from ..service.resilience import FAILURE_MODES
 from ..service.service import default_jobs
 from ..workloads.space import NAMED_SPACES
 from .search import SEARCH_STRATEGIES
 
-__all__ = ["main", "build_parser", "add_arguments", "run"]
+__all__ = ["add_arguments", "run"]
 
 
 def parse_budget(text: str) -> Dict[str, float]:
@@ -58,7 +56,7 @@ def parse_budget(text: str) -> Dict[str, float]:
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
-    """DSE arguments, shared by the standalone and unified CLIs."""
+    """Arguments of the unified CLI's ``dse`` subcommand."""
     parser.add_argument("kernel", help="suite kernel to explore (e.g. gemm)")
     parser.add_argument(
         "--size", default="MINI", choices=["MINI", "SMALL"],
@@ -200,30 +198,3 @@ def run(args: argparse.Namespace) -> int:
                 f"dsp {best.dsp}, bram {best.bram_18k})"
             )
     return 0 if report.frontier else 1
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.dse",
-        description="Design-space exploration over the cached flow service.",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help=f"cache root (default: $REPRO_CACHE_DIR or {default_cache_dir()!r})",
-    )
-    add_arguments(parser)
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    # build_parser() itself can raise: default_jobs() validates
-    # $REPRO_JOBS at parser-construction time.
-    try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        return run(args)
-    except (CompilationError, ValueError) as exc:
-        code = getattr(exc, "code", None)
-        prefix = f"error[{code}]" if code else "error"
-        print(f"{prefix}: {exc}", file=sys.stderr)
-        return 2

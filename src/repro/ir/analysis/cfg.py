@@ -1,18 +1,16 @@
 """CFG traversal orders over :class:`~repro.ir.module.Function` blocks.
 
-In fast mode (``REPRO_IR_FAST``, the default) traversal results are cached
-per function, keyed by ``Function.version``: every mutation API on blocks,
-instructions and operands bumps the counter, so a cache hit is only
-possible when the function is bit-identical to when the order was
-computed.  The cache lives in a weak side table, so it dies with the
-function and never pins IR objects.
+Traversal results are cached per function, keyed by ``Function.version``:
+every mutation API on blocks, instructions and operands bumps the counter,
+so a cache hit is only possible when the function is bit-identical to when
+the order was computed.  The cache lives in a weak side table, so it dies
+with the function and never pins IR objects.
 """
 
 from __future__ import annotations
 
 from typing import List, Set, Tuple
 
-from ..fastpath import ir_fast_enabled
 from ..module import BasicBlock, Function
 from ..sidetable import ValueSideTable
 
@@ -38,8 +36,6 @@ def postorder(fn: Function) -> List[BasicBlock]:
     Iterative to stay safe on deep loop-nest CFGs.  Returns a fresh list;
     callers may reorder/filter it freely.
     """
-    if not ir_fast_enabled():
-        return _compute_postorder(fn)
     return list(_cached_orders(fn)[0])
 
 
@@ -71,6 +67,4 @@ def reverse_postorder(fn: Function) -> List[BasicBlock]:
 
 def reachable_blocks(fn: Function) -> Set[int]:
     """ids of blocks reachable from entry."""
-    if not ir_fast_enabled():
-        return {id(b) for b in _compute_postorder(fn)}
     return set(_cached_orders(fn)[1])

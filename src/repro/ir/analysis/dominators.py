@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..fastpath import ir_fast_enabled
 from ..module import BasicBlock, Function
 from ..sidetable import ValueSideTable
 from .cfg import reverse_postorder
@@ -19,12 +18,10 @@ _DT_CACHE: ValueSideTable = ValueSideTable("dominator-tree")
 def dominator_tree(fn: Function) -> "DominatorTree":
     """Return a dominator tree for ``fn``, cached by ``Function.version``.
 
-    In fast mode repeated queries on an unmodified function (the verifier
-    after no-op passes, CSE followed by Mem2Reg, ...) share one tree.  The
-    tree is read-only; callers must not mutate it.
+    Repeated queries on an unmodified function (the verifier after no-op
+    passes, CSE followed by Mem2Reg, ...) share one tree.  The tree is
+    read-only; callers must not mutate it.
     """
-    if not ir_fast_enabled():
-        return DominatorTree(fn)
     cached = _DT_CACHE.get(fn)
     if cached is not None and cached[0] == fn.version:
         return cached[1]

@@ -23,7 +23,6 @@ from ...diagnostics.engine import Diagnostic, Severity
 from ...diagnostics.errors import PassExecutionError, PassVerificationError
 from ...diagnostics.guard import PassGuard
 from ...observability import get_statistics, get_tracer
-from ..fastpath import ir_fast_enabled
 from ..module import Function, Module
 
 __all__ = [
@@ -144,17 +143,17 @@ class PassManager:
             reproducer_path=path,
         ) from cause
 
-    def _plan(self, fast: bool) -> List[List[ModulePass]]:
+    def _plan(self) -> List[List[ModulePass]]:
         """Group the pipeline for execution.
 
-        In fast mode (and without a guard — rollback needs per-pass
-        snapshots, so a guarded manager never fuses), maximal runs of
-        consecutive *plain* function passes — ones that did not override
+        Without a guard (rollback needs per-pass snapshots, so a guarded
+        manager never fuses), maximal runs of consecutive *plain* function
+        passes — ones that did not override
         :meth:`FunctionPass.run_on_module` — form fused groups that execute
         in a single walk over the module's functions.  Everything else runs
         as a singleton group, preserving pass order.
         """
-        if not fast or self.guard is not None:
+        if self.guard is not None:
             return [[p] for p in self.passes]
         plan: List[List[ModulePass]] = []
         current: List[ModulePass] = []
@@ -230,19 +229,18 @@ class PassManager:
 
         tracer = get_tracer()
         registry = get_statistics()
-        fast = ir_fast_enabled()
         names = [p.name for p in self.passes]
         run_stats: List[PassStatistics] = []
         if registry.enabled and self.passes:
             registry.bump("module", "instructions-before", count_instructions(module))
-        # Deferred verification (fast mode, no guard): trusted passes bank
-        # their touched-function sets in ``deferred`` and the whole run is
+        # Deferred verification (no guard): trusted passes bank their
+        # touched-function sets in ``deferred`` and the whole run is
         # re-verified once at the end — the pipeline-boundary verification
         # discipline production compilers use.  Untrusted passes still
         # trigger an immediate full verify (which also discharges anything
         # banked so far), and a guarded manager verifies after every pass
         # because rollback needs to know *which* pass broke the module.
-        defer = fast and self.guard is None and self.verify_each
+        defer = self.guard is None and self.verify_each
         deferred: List[PassStatistics] = []
         versions = (
             {id(fn): fn.version for fn in module.functions} if defer else None
@@ -252,11 +250,11 @@ class PassManager:
         # untrusted-pass full-verify path can update it).
         clean_cell = [defer and is_recorded_clean(module)]
         index = 0
-        for group in self._plan(fast):
+        for group in self._plan():
             if len(group) == 1:
                 self._run_single(
                     module, group[0], names[index:], run_stats,
-                    tracer, registry, verify_module, fast,
+                    tracer, registry, verify_module,
                     defer, deferred, versions, clean_cell,
                 )
             else:
@@ -287,7 +285,6 @@ class PassManager:
         tracer,
         registry,
         verify_module,
-        fast: bool,
         defer: bool = False,
         deferred: Optional[List[PassStatistics]] = None,
         run_versions: Optional[Dict[int, int]] = None,
@@ -300,7 +297,7 @@ class PassManager:
             isinstance(pass_, FunctionPass)
             and type(pass_).run_on_module is FunctionPass.run_on_module
         )
-        incremental = fast and trusted
+        incremental = trusted
         versions = (
             {id(fn): fn.version for fn in module.functions}
             if incremental and not defer
@@ -372,7 +369,7 @@ class PassManager:
         Per-pass attribution is preserved: each pass still gets its own
         statistics object, its own category-``"pass"`` span (with wall time
         accumulated across functions) and its own churn-ledger entries, in
-        pipeline order — exactly the shape the N-walk baseline produces.
+        pipeline order — exactly the shape a guarded, unfused run produces.
         The group's touched sets are banked in ``deferred`` and verified at
         the run's single flush.  Fused groups never run under a guard (see
         :meth:`_plan`), so there is no per-pass snapshot to maintain.

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional
 from ...diagnostics.engine import Diagnostic, Severity
 from ...diagnostics.errors import PassExecutionError, PassVerificationError
 from ...diagnostics.guard import PassGuard
-from ...ir.fastpath import ir_fast_enabled
 from ...observability import get_statistics, get_tracer
 from ..dialects.builtin import ModuleOp
 
@@ -86,14 +85,13 @@ class MLIRPassManager:
 
         tracer = get_tracer()
         registry = get_statistics()
-        fast = ir_fast_enabled()
         names = [p.name for p in self.passes]
         run_stats: List[MLIRPassStatistics] = []
-        # Fast-mode deferral: rewrites accumulate and one verify runs at
+        # Deferral (no guard): rewrites accumulate and one verify runs at
         # each *boundary* — the end of the pipeline, or the pass right
         # before ``scf-to-cf`` (whose cf-level output the structured
         # verifier cannot model, so it is the last verifiable point).
-        defer = fast and self.guard is None and self.verify_each
+        defer = self.guard is None and self.verify_each
         pending = False
         for i, pass_ in enumerate(self.passes):
             snapshot = self.guard.snapshot(module) if self.guard is not None else None

@@ -1,4 +1,4 @@
-"""The unified ``python -m repro`` CLI and the deprecated shims."""
+"""The unified ``python -m repro`` CLI: parsing, subcommands and module entry."""
 
 from __future__ import annotations
 
@@ -123,25 +123,6 @@ def _module_env():
     return env
 
 
-@pytest.mark.parametrize(
-    "module,argv",
-    [
-        ("repro.service", ["cache", "stats"]),
-        ("repro.lint", ["rules"]),
-        ("repro.observability", ["validate", "nonexistent.json"]),
-    ],
-)
-def test_deprecated_shims_forward_and_point(module, argv, tmp_path):
-    """Old entry points still work and print the deprecation pointer."""
-    result = subprocess.run(
-        [sys.executable, "-m", module, *argv],
-        capture_output=True, text=True, env=_module_env(),
-        cwd=str(tmp_path), timeout=120,
-    )
-    assert "deprecated" in result.stderr
-    assert "python -m repro" in result.stderr
-
-
 def test_unified_module_entry(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "repro", "lint", "rules"],
@@ -153,9 +134,10 @@ def test_unified_module_entry(tmp_path):
 
 
 def test_dse_module_entry(tmp_path):
+    """The dse subcommand end to end through ``python -m repro``."""
     result = subprocess.run(
-        [sys.executable, "-m", "repro.dse", "--cache-dir", str(tmp_path / "c"),
-         "gemm", "--size", "MINI", "--space", "tiny", "--out", "-"],
+        [sys.executable, "-m", "repro", "--cache-dir", str(tmp_path / "c"),
+         "dse", "gemm", "--size", "MINI", "--space", "tiny", "--out", "-"],
         capture_output=True, text=True, env=_module_env(),
         cwd=str(tmp_path), timeout=300,
     )

@@ -1,4 +1,4 @@
-"""``python -m repro.lint`` CLI: subcommands, targets, and exit codes."""
+"""``python -m repro lint``: subcommands, targets, and exit codes."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ import pytest
 
 from repro.ir import print_module
 from repro.lint import LINT_RULES
-from repro.lint.cli import main, render_rules_markdown
+from repro.cli import main
+from repro.lint.cli import render_rules_markdown
 
 from .fixtures import CLEANS
 
@@ -19,7 +20,7 @@ GOLDEN_GEMM = os.path.join(
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    code = main(["lint", *argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.diagnostics.guard import PassGuard
 from repro.ir.transforms import standard_cleanup_pipeline
 from repro.observability import (
     NULL_TRACER,
@@ -118,20 +119,35 @@ class TestPassSpans:
         ]
         assert span_rewrites == [st.rewrites for st in stats]
 
-    def test_each_pass_followed_by_verify_child_span(self, axpy_module, monkeypatch):
-        # Baseline (fast mode off): one verify span per executed pass.
-        monkeypatch.setenv("REPRO_IR_FAST", "0")
+    def test_each_pass_followed_by_verify_child_span(self):
+        # A guarded manager verifies after each pass that changed the
+        # module (inside that pass's span) and skips no-op passes, whose
+        # previous verification still holds.  The freshly lowered gemm
+        # has work for some cleanup passes and none for others.
+        from repro.mlir.passes import convert_to_llvm, lowering_pipeline
+        from repro.workloads import build_kernel
+        from repro.workloads.suite import SUITE_SIZES
+
+        spec = build_kernel("gemm", **SUITE_SIZES["MINI"]["gemm"])
+        lowering_pipeline().run(spec.module)
+        module = convert_to_llvm(spec.module)
         tracer = Tracer()
         with use_tracer(tracer):
             pm = standard_cleanup_pipeline()
-            pm.run(axpy_module)
-        verifies = tracer.find("verify")
-        assert len(verifies) == len(pm.history)
+            pm.guard = PassGuard(kind="ir")
+            pm.run(module)
+        pass_spans = tracer.by_category("pass")
+        assert [s.name for s in pass_spans] == [st.name for st in pm.history]
+        changed = [bool(st.touched) for st in pm.history]
+        assert any(changed) and not all(changed)
+        for span, did_change in zip(pass_spans, changed):
+            verifies = [c.name for c in span.children if c.category == "verify"]
+            assert verifies == (["verify"] if did_change else []), span.name
 
-    def test_fast_mode_verifies_at_most_once_per_group(self, axpy_module, monkeypatch):
-        # Fast mode fuses the (all-function-pass) cleanup pipeline into a
-        # single walk verified once; pass spans are still one per pass.
-        monkeypatch.setenv("REPRO_IR_FAST", "1")
+    def test_fast_mode_verifies_at_most_once_per_group(self, axpy_module):
+        # An unguarded manager fuses the (all-function-pass) cleanup
+        # pipeline into a single walk verified once; pass spans are still
+        # one per pass.
         tracer = Tracer()
         with use_tracer(tracer):
             pm = standard_cleanup_pipeline()

@@ -1,10 +1,10 @@
-"""``python -m repro.service`` CLI: subcommands and exit codes."""
+"""``python -m repro`` service subcommands: parsing and exit codes."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.service.cli import build_parser, main
+from repro.cli import build_parser, main
 
 
 @pytest.fixture
