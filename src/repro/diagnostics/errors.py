@@ -27,6 +27,7 @@ __all__ = [
     "FlowError",
     "ReplayError",
     "CacheError",
+    "CacheFormatError",
     "ServiceError",
     "DaemonError",
     "ProtocolError",
@@ -123,6 +124,13 @@ class CacheError(CompilationError):
     def __init__(self, message: str, *, path: Optional[str] = None, diagnostic=None):
         super().__init__(message, diagnostic=diagnostic)
         self.path = path
+
+
+class CacheFormatError(CacheError):
+    """A cache entry was written under another entry-format version: a
+    stale entry, not a damaged one (both degrade to a recompile)."""
+
+    code = "REPRO-CACHE-002"
 
 
 class ServiceError(CompilationError):

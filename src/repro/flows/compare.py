@@ -4,7 +4,7 @@ and the expression-detail retention metrics (reconstructed Fig. 2)."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -124,7 +124,8 @@ class FlowComparison:
         cpp_lat = max(self.cpp.latency, 1)
         return self.adaptor.latency / cpp_lat
 
-    def row(self) -> str:
+    def verdict_cells(self) -> str:
+        """The equivalence-verdict and lint cells that end a table row."""
         if self.functionally_equivalent is None:
             verdict = "n/a"  # equivalence check skipped, not a mismatch
         elif self.functionally_equivalent:
@@ -137,11 +138,13 @@ class FlowComparison:
             lint = "clean"
         else:
             lint = ",".join(self.lint.get("codes", [])) or "DIRTY"
+        return f"{verdict:<8} {lint}"
+
+    def row(self) -> str:
         return (
             f"{self.kernel:<12} {self.config:<10} "
             f"{self.adaptor.latency:>10} {self.cpp.latency:>10} "
-            f"{self.latency_ratio:>7.3f}  "
-            f"{verdict:<8} {lint}"
+            f"{self.latency_ratio:>7.3f}  {self.verdict_cells()}"
         )
 
 

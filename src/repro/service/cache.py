@@ -33,18 +33,22 @@ import json
 import os
 import pickle
 import tempfile
+import threading
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..diagnostics.engine import DiagnosticEngine
-from ..diagnostics.errors import CacheError
+from ..diagnostics.errors import CacheError, CacheFormatError
 from ..observability import get_statistics, get_tracer
 from .fingerprint import CACHE_FORMAT_VERSION
 
 __all__ = [
     "CacheStats",
     "CompilationCache",
+    "counting_into",
     "default_cache_dir",
     "SHARD_PREFIX_LEN",
 ]
@@ -94,43 +98,10 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def snapshot(self) -> "CacheStats":
-        return CacheStats(
-            hits=self.hits,
-            misses=self.misses,
-            stores=self.stores,
-            corrupt=self.corrupt,
-            hit_seconds=self.hit_seconds,
-            store_seconds=self.store_seconds,
-            mem_hits=self.mem_hits,
-            mem_stores=self.mem_stores,
-            mem_evictions=self.mem_evictions,
-        )
-
-    def since(self, before: "CacheStats") -> "CacheStats":
-        """Counter delta between this snapshot and an earlier one."""
-        return CacheStats(
-            hits=self.hits - before.hits,
-            misses=self.misses - before.misses,
-            stores=self.stores - before.stores,
-            corrupt=self.corrupt - before.corrupt,
-            hit_seconds=self.hit_seconds - before.hit_seconds,
-            store_seconds=self.store_seconds - before.store_seconds,
-            mem_hits=self.mem_hits - before.mem_hits,
-            mem_stores=self.mem_stores - before.mem_stores,
-            mem_evictions=self.mem_evictions - before.mem_evictions,
-        )
-
     def merge(self, other: "CacheStats") -> None:
-        self.hits += other.hits
-        self.misses += other.misses
-        self.stores += other.stores
-        self.corrupt += other.corrupt
-        self.hit_seconds += other.hit_seconds
-        self.store_seconds += other.store_seconds
-        self.mem_hits += other.mem_hits
-        self.mem_stores += other.mem_stores
-        self.mem_evictions += other.mem_evictions
+        for counter in fields(self):
+            name = counter.name
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def summary(self) -> str:
         text = (
@@ -148,6 +119,26 @@ class CacheStats:
         return text
 
 
+#: The stats of the batch running in this context, if any.  Every cache
+#: handle counts into it as well as into its own ``stats``, so a batch
+#: reports exactly its own lookups even while other threads' batches
+#: share the handle (the daemon's handler threads do).
+_BATCH_STATS: ContextVar[Optional[CacheStats]] = ContextVar(
+    "repro_batch_cache_stats", default=None
+)
+
+
+@contextmanager
+def counting_into(stats: CacheStats) -> Iterator[None]:
+    """Also count every cache lookup and store made in this context (this
+    thread, this task) into ``stats``."""
+    token = _BATCH_STATS.set(stats)
+    try:
+        yield
+    finally:
+        _BATCH_STATS.reset(token)
+
+
 class CompilationCache:
     """Content-addressed pickle cache keyed by :func:`repro.service.cache_key`.
 
@@ -162,6 +153,8 @@ class CompilationCache:
         self.root = root or default_cache_dir()
         self.engine = engine or DiagnosticEngine()
         self.stats = CacheStats()
+        # Threads share a handle (the daemon's handler threads do).
+        self._stats_lock = threading.Lock()
         self._manifest_written = False
 
     # -- paths --------------------------------------------------------------
@@ -235,10 +228,19 @@ class CompilationCache:
         header.update(meta or {})
         self._write_manifest()
         path = self._write_entry(self.entry_path(key), header, payload)
-        self.stats.stores += 1
-        self.stats.store_seconds += time.perf_counter() - start
+        self.count(stores=1, store_seconds=time.perf_counter() - start)
         get_statistics().bump("cache", "stores")
         return path
+
+    def count(self, **deltas: float) -> None:
+        """Add ``deltas`` to this handle's stats and to the stats of the
+        batch running in this context (see :func:`counting_into`)."""
+        batch = _BATCH_STATS.get()
+        with self._stats_lock:
+            for stats in (self.stats, batch):
+                if stats is not None:
+                    for name, delta in deltas.items():
+                        setattr(stats, name, getattr(stats, name) + delta)
 
     def _write_entry(self, path: str, header: Dict[str, Any], payload: bytes) -> str:
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -256,9 +258,9 @@ class CompilationCache:
         return path
 
     # -- load ---------------------------------------------------------------
-    def _read_raw(self, path: str) -> Tuple[Dict[str, Any], bytes]:
-        """Header dict + raw payload bytes, checksum-verified but not
-        unpickled and with *no* format check (the migration reader)."""
+    def _read_entry(self, path: str) -> Tuple[Dict[str, Any], Any]:
+        """Header dict + unpickled value of a checksum- and format-verified
+        entry; any defect raises :class:`CacheError` carrying its code."""
         try:
             with open(path, "rb") as fh:
                 header_line = fh.readline()
@@ -278,12 +280,8 @@ class CompilationCache:
             header.get("payload_sha256") != hashlib.sha256(payload).hexdigest()
         ):
             raise CacheError(f"cache entry {path} failed checksum", path=path)
-        return header, payload
-
-    def _read_entry(self, path: str) -> Tuple[Dict[str, Any], Any]:
-        header, payload = self._read_raw(path)
         if header.get("format") != CACHE_FORMAT_VERSION:
-            raise CacheError(
+            raise CacheFormatError(
                 f"cache entry {path} has format {header.get('format')!r}, "
                 f"expected {CACHE_FORMAT_VERSION}",
                 path=path,
@@ -306,21 +304,15 @@ class CompilationCache:
         path = self.entry_path(key)
         with get_tracer().span("cache-load", category="cache", key=key[:12]) as span:
             if not os.path.exists(path):
-                self.stats.misses += 1
+                self.count(misses=1)
                 registry.bump("cache", "misses")
                 span.set(outcome="miss")
                 return None
             try:
                 header, value = self._read_entry(path)
             except CacheError as exc:
-                code = (
-                    "REPRO-CACHE-002"
-                    if "format" in exc.message and "expected" in exc.message
-                    else "REPRO-CACHE-001"
-                )
-                self.engine.warning(code, f"{exc.message}; recompiling")
-                self.stats.corrupt += 1
-                self.stats.misses += 1
+                self.engine.warning(exc.code, f"{exc.message}; recompiling")
+                self.count(corrupt=1, misses=1)
                 registry.bump("cache", "corrupt")
                 registry.bump("cache", "misses")
                 span.set(outcome="corrupt")
@@ -331,8 +323,7 @@ class CompilationCache:
                 if required:
                     raise
                 return None
-            self.stats.hits += 1
-            self.stats.hit_seconds += time.perf_counter() - start
+            self.count(hits=1, hit_seconds=time.perf_counter() - start)
             registry.bump("cache", "hits")
             span.set(outcome="hit")
         return value

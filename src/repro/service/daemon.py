@@ -24,9 +24,6 @@ What the daemon adds over the one-shot service:
   requests would exceed ``max_queue``, the batch is rejected outright
   with ``REPRO-SVC-004`` — the queue never grows unboundedly, and the
   client knows to back off (nothing was partially compiled).
-* **Kernel-fingerprint memoisation.**  Hashing a kernel's printed MLIR
-  dominates a warm lookup, and it is pure in (kernel, sizes), so the
-  daemon memoises it process-wide.
 
 Thread model: one accept thread, one handler thread per connection,
 handler threads run requests under the daemon's shared (thread-safe)
@@ -40,13 +37,14 @@ from __future__ import annotations
 import os
 import socket
 import threading
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..backends import resolve_backend_id
 from ..diagnostics.engine import DiagnosticEngine
 from ..diagnostics.errors import ProtocolError
 from ..observability import StatisticsRegistry, use_statistics
-from .fingerprint import cache_key, kernel_fingerprint
+from .fingerprint import cache_key
 from .protocol import (
     PROTOCOL_VERSION,
     decode_line,
@@ -153,9 +151,6 @@ class CompileDaemon:
         self._inflight: Dict[str, _Inflight] = {}
         self._state_lock = threading.Lock()
         self._depth = 0
-        # kernel_fingerprint is pure in (kernel, sorted sizes): memoise it
-        # so warm lookups skip the rebuild-and-print of the module.
-        self._kernel_hashes: Dict[Tuple[str, Tuple[Tuple[str, int], ...]], str] = {}
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> str:
@@ -310,15 +305,7 @@ class CompileDaemon:
 
     # -- compile: admission, coalescing, execution ---------------------------
     def _fingerprint(self, request) -> str:
-        """The cache key of a *resolved* request, with the kernel-IR hash
-        memoised across the daemon's lifetime."""
-        memo_key = (request.kernel, tuple(sorted(request.sizes.items())))
-        with self._state_lock:
-            kernel_hash = self._kernel_hashes.get(memo_key)
-        if kernel_hash is None:
-            kernel_hash = kernel_fingerprint(request.kernel, request.sizes)
-            with self._state_lock:
-                self._kernel_hashes[memo_key] = kernel_hash
+        """The cache key of a *resolved* request (the coalescing key)."""
         return cache_key(
             request.kernel,
             request.sizes,
@@ -326,7 +313,6 @@ class CompileDaemon:
             device=self.service.device,
             check_equivalence=request.check_equivalence,
             seed=request.seed,
-            kernel_hash=kernel_hash,
             backend=resolve_backend_id(request.backend or self.service.backend),
         )
 
@@ -487,16 +473,7 @@ class CompileDaemon:
                         error_code=getattr(error, "code", "REPRO-SVC-001"),
                     )
                     comparison = None
-            outcome = RequestOutcome(
-                index=position,
-                kernel=source.kernel,
-                config=source.config,
-                status=source.status,
-                attempts=source.attempts,
-                seconds=source.seconds,
-                error=source.error,
-                error_code=source.error_code,
-            )
+            outcome = replace(source, index=position, comparison_index=None)
             if comparison is not None:
                 outcome.comparison_index = len(report.comparisons)
                 report.comparisons.append(comparison)

@@ -12,14 +12,15 @@ key hashes everything the comparison depends on:
   plus an explicit :data:`PIPELINE_VERSION` bump constant for semantic
   changes that keep the rosters intact;
 * **run parameters** — device, equivalence seed, whether equivalence was
-  checked.
+  checked, and the synthesis backend id.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from typing import Dict, Optional
+from typing import Dict, Tuple
 
 from ..adaptor.pipeline import ADAPTOR_PASS_ORDER, ESSENTIAL_PASSES
 from ..flows.config import OptimizationConfig
@@ -104,12 +105,25 @@ def kernel_fingerprint(kernel_name: str, sizes: Dict[str, int]) -> str:
 
     Builds a fresh spec and prints it, so the hash tracks the builder's
     actual output: a change to a kernel builder invalidates its entries.
+    The hash is pure in (kernel, sizes), so it is memoised process-wide
+    (a bounded LRU): it tracks the builder per process, as it was when
+    the process first hashed the kernel (``kernel_fingerprint.cache_clear()``
+    forgets every hash).
     """
+    return _kernel_fingerprint(kernel_name, tuple(sorted(sizes.items())))
+
+
+@functools.lru_cache(maxsize=1024)
+def _kernel_fingerprint(kernel_name: str, sizes: Tuple[Tuple[str, int], ...]) -> str:
     from ..mlir.printer import print_module
     from ..workloads.polybench import build_kernel
 
-    spec = build_kernel(kernel_name, **sizes)
+    spec = build_kernel(kernel_name, **dict(sizes))
     return _sha256(print_module(spec.module))
+
+
+# Drops the memo, e.g. after a kernel builder is edited in a live process.
+kernel_fingerprint.cache_clear = _kernel_fingerprint.cache_clear
 
 
 def cache_key(
@@ -119,20 +133,16 @@ def cache_key(
     device: str = "xc7z020",
     check_equivalence: bool = True,
     seed: int = 0,
-    kernel_hash: Optional[str] = None,
     backend: str = "static",
 ) -> str:
     """The content-addressed key for one flow comparison.
 
     ``backend`` is the synthesis backend id (``repro.backends``): the
     same kernel/config pair produces different numbers under different
-    engines, so rows must never be shared across backends.
-    ``kernel_hash`` lets callers that already computed the kernel
-    fingerprint (e.g. a batch run hashing each kernel once) skip the
-    rebuild."""
+    engines, so rows must never be shared across backends."""
     payload = {
         "kernel": kernel_name,
-        "kernel_ir": kernel_hash or kernel_fingerprint(kernel_name, sizes),
+        "kernel_ir": kernel_fingerprint(kernel_name, sizes),
         "sizes": dict(sorted(sizes.items())),
         "config": config_fingerprint(config),
         "pipeline": pipeline_fingerprint(),

@@ -47,7 +47,8 @@ import base64
 import hashlib
 import json
 import pickle
-from typing import Any, Dict, List, Optional, Union
+from dataclasses import asdict, fields
+from typing import Any, Dict, Optional, Union
 
 from ..diagnostics.errors import ProtocolError
 from ..flows.config import OptimizationConfig
@@ -321,56 +322,17 @@ def decode_comparison(wire: Dict[str, str]):
 
 # -- outcomes / reports -----------------------------------------------------
 def outcome_to_wire(outcome: RequestOutcome) -> Dict[str, Any]:
-    return {
-        "index": outcome.index,
-        "kernel": outcome.kernel,
-        "config": outcome.config,
-        "status": outcome.status,
-        "attempts": outcome.attempts,
-        "seconds": outcome.seconds,
-        "error": outcome.error,
-        "error_code": outcome.error_code,
-        "comparison_index": outcome.comparison_index,
-    }
+    return asdict(outcome)
 
 
 def outcome_from_wire(wire: Dict[str, Any]) -> RequestOutcome:
-    return RequestOutcome(
-        index=wire["index"],
-        kernel=wire["kernel"],
-        config=wire.get("config", "-"),
-        status=wire["status"],
-        attempts=wire.get("attempts", 1),
-        seconds=wire.get("seconds", 0.0),
-        error=wire.get("error"),
-        error_code=wire.get("error_code"),
-        comparison_index=wire.get("comparison_index"),
-    )
+    return _from_wire(RequestOutcome, wire)
 
 
-def _cache_stats_to_wire(stats: CacheStats) -> Dict[str, Any]:
-    return {
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "stores": stats.stores,
-        "corrupt": stats.corrupt,
-        "hit_seconds": stats.hit_seconds,
-        "store_seconds": stats.store_seconds,
-        "mem_hits": stats.mem_hits,
-        "mem_stores": stats.mem_stores,
-        "mem_evictions": stats.mem_evictions,
-    }
-
-
-def _cache_stats_from_wire(wire: Dict[str, Any]) -> CacheStats:
-    return CacheStats(**{
-        field: wire.get(field, 0)
-        for field in (
-            "hits", "misses", "stores", "corrupt",
-            "hit_seconds", "store_seconds",
-            "mem_hits", "mem_stores", "mem_evictions",
-        )
-    })
+def _from_wire(cls, wire: Dict[str, Any]):
+    """A dataclass from its :func:`dataclasses.asdict` wire rendering;
+    fields the wire omits take their defaults."""
+    return cls(**{f.name: wire[f.name] for f in fields(cls) if f.name in wire})
 
 
 def report_to_wire(report) -> Dict[str, Any]:
@@ -383,7 +345,7 @@ def report_to_wire(report) -> Dict[str, Any]:
         "policy": report.policy,
         "degraded": report.degraded,
         "cache_root": report.cache_root,
-        "cache_stats": _cache_stats_to_wire(report.cache_stats),
+        "cache_stats": asdict(report.cache_stats),
         "comparisons": [encode_comparison(c) for c in report.comparisons],
         "outcomes": [outcome_to_wire(o) for o in report.outcomes],
     }
@@ -399,7 +361,7 @@ def report_from_wire(wire: Dict[str, Any]):
         jobs=wire.get("jobs", 1),
         comparisons=[decode_comparison(c) for c in wire.get("comparisons", [])],
         seconds=wire.get("seconds", 0.0),
-        cache_stats=_cache_stats_from_wire(wire.get("cache_stats", {})),
+        cache_stats=_from_wire(CacheStats, wire.get("cache_stats", {})),
         cache_root=wire.get("cache_root", ""),
         outcomes=[outcome_from_wire(o) for o in wire.get("outcomes", [])],
         policy=wire.get("policy", "fail-fast"),

@@ -139,7 +139,7 @@ class RequestOutcome:
 
     index: int
     kernel: str
-    config: str
+    config: str = "-"
     status: str = "ok"
     attempts: int = 1
     seconds: float = 0.0
@@ -299,34 +299,21 @@ class ResilientExecutor:
         inflight: Dict[Future, _Inflight] = {}
         self._pool = self._new_pool()
 
-        def record_success(index: int, attempt: int, started: float, value: Any):
-            results[index] = value
-            outcome = outcomes[index]
-            outcome.attempts = attempt
-            outcome.seconds += time.monotonic() - started
-            outcome.status = "ok" if attempt == 1 else "retried-then-ok"
-            outcome.comparison_index = None  # caller assigns
-            outcome.error = None
-            outcome.error_code = None
-
         def record_failure(
             index: int, attempt: int, started: float,
             exc: Optional[BaseException], timed_out: bool,
         ):
             """Charge one failed attempt; requeue it if the policy allows."""
             outcome = outcomes[index]
-            outcome.attempts = attempt
-            outcome.seconds += time.monotonic() - started
             if timed_out:
+                _charge(outcome, attempt, started)
                 stats.bump("service", "timeouts")
                 outcome.error = (
                     f"worker exceeded {policy.timeout:g}s deadline"
                 )
                 outcome.error_code = "REPRO-SVC-003"
             else:
-                stats.bump("service", "failures")
-                outcome.error = f"{type(exc).__name__}: {exc}"
-                outcome.error_code = getattr(exc, "code", None)
+                _record_error(outcome, attempt, started, exc)
             if policy.mode == "fail-fast":
                 self._abort_pool()
                 if timed_out:
@@ -358,10 +345,14 @@ class ResilientExecutor:
         try:
             while pending or inflight:
                 if self.degraded:
+                    # Circuit open: finish the batch serially, in process.
                     assert not inflight
                     remaining = list(pending)
                     pending.clear()
-                    self._run_degraded(remaining, outcomes, results, record_failure)
+                    _serial_loop(
+                        self.serial_fn, self.payloads, remaining,
+                        outcomes, results, policy, self.prepare_fn,
+                    )
                     break
                 now = time.monotonic()
                 # Submit every ready request there is a worker slot for.
@@ -426,7 +417,8 @@ class ResilientExecutor:
                             timed_out=False,
                         )
                     else:
-                        record_success(meta.index, meta.attempt, meta.started, value)
+                        results[meta.index] = value
+                        _record_ok(outcomes[meta.index], meta.attempt, meta.started)
                 if pool_broken:
                     # Every in-flight attempt died with the pool: charge
                     # each one (the culprit cannot be told apart from the
@@ -477,45 +469,6 @@ class ResilientExecutor:
                 self._close_pool()
         return outcomes, results
 
-    def _run_degraded(
-        self,
-        remaining: List[Tuple[int, int]],
-        outcomes: List[RequestOutcome],
-        results: Dict[int, Any],
-        record_failure,
-    ) -> None:
-        """Circuit-open path: finish the batch serially, in this process."""
-        policy = self.policy
-        for index, first_attempt in remaining:
-            for attempt in range(first_attempt, policy.attempts + 1):
-                if attempt > first_attempt:
-                    time.sleep(policy.backoff_for(attempt - 1))
-                started = time.monotonic()
-                try:
-                    value = self.serial_fn(self.prepare_fn(self.payloads[index], attempt))
-                except BaseException as exc:
-                    outcome = outcomes[index]
-                    outcome.attempts = attempt
-                    outcome.seconds += time.monotonic() - started
-                    get_statistics().bump("service", "failures")
-                    outcome.error = f"{type(exc).__name__}: {exc}"
-                    outcome.error_code = getattr(exc, "code", None)
-                    if policy.mode == "fail-fast":
-                        raise
-                    if attempt < policy.attempts:
-                        get_statistics().bump("service", "retries")
-                        continue
-                    outcome.status = "failed"
-                else:
-                    results[index] = value
-                    outcome = outcomes[index]
-                    outcome.attempts = attempt
-                    outcome.seconds += time.monotonic() - started
-                    outcome.status = "ok" if attempt == 1 else "retried-then-ok"
-                    outcome.error = None
-                    outcome.error_code = None
-                break
-
 
 def run_serial(
     fn: Callable[[Any], Any],
@@ -534,27 +487,41 @@ def run_serial(
     Under ``fail-fast`` the first failure propagates unwrapped, matching
     the historical serial behaviour.
     """
-    prepare = prepare_fn or _identity_prepare
-    stats = get_statistics()
     outcomes = [
         RequestOutcome(index=i, kernel=labels[i], config=configs[i])
         for i in range(len(payloads))
     ]
     results: Dict[int, Any] = {}
-    for index, payload in enumerate(payloads):
+    _serial_loop(
+        fn, payloads, [(i, 1) for i in range(len(payloads))],
+        outcomes, results, policy, prepare_fn or _identity_prepare,
+    )
+    return outcomes, results
+
+
+def _serial_loop(
+    fn: Callable[[Any], Any],
+    payloads: Sequence[Any],
+    work: Sequence[Tuple[int, int]],
+    outcomes: List[RequestOutcome],
+    results: Dict[int, Any],
+    policy: FailurePolicy,
+    prepare: Callable[[Any, int], Any],
+) -> None:
+    """Run each ``(index, first attempt)`` of ``work`` in process, retrying
+    under ``policy`` with its backoff: the one serial loop behind both
+    :func:`run_serial` and the circuit breaker's degraded mode."""
+    stats = get_statistics()
+    for index, first_attempt in work:
         outcome = outcomes[index]
-        for attempt in range(1, policy.attempts + 1):
-            if attempt > 1:
+        for attempt in range(first_attempt, policy.attempts + 1):
+            if attempt > first_attempt:
                 time.sleep(policy.backoff_for(attempt - 1))
             started = time.monotonic()
             try:
-                value = fn(prepare(payload, attempt))
+                value = fn(prepare(payloads[index], attempt))
             except BaseException as exc:
-                outcome.attempts = attempt
-                outcome.seconds += time.monotonic() - started
-                stats.bump("service", "failures")
-                outcome.error = f"{type(exc).__name__}: {exc}"
-                outcome.error_code = getattr(exc, "code", None)
+                _record_error(outcome, attempt, started, exc)
                 if policy.mode == "fail-fast":
                     raise
                 if attempt < policy.attempts:
@@ -563,10 +530,28 @@ def run_serial(
                 outcome.status = "failed"
             else:
                 results[index] = value
-                outcome.attempts = attempt
-                outcome.seconds += time.monotonic() - started
-                outcome.status = "ok" if attempt == 1 else "retried-then-ok"
-                outcome.error = None
-                outcome.error_code = None
+                _record_ok(outcome, attempt, started)
             break
-    return outcomes, results
+
+
+def _charge(outcome: RequestOutcome, attempt: int, started: float) -> None:
+    """Book one finished attempt (its number and wall time) on ``outcome``."""
+    outcome.attempts = attempt
+    outcome.seconds += time.monotonic() - started
+
+
+def _record_ok(outcome: RequestOutcome, attempt: int, started: float) -> None:
+    _charge(outcome, attempt, started)
+    outcome.status = "ok" if attempt == 1 else "retried-then-ok"
+    outcome.error = None
+    outcome.error_code = None
+
+
+def _record_error(
+    outcome: RequestOutcome, attempt: int, started: float, exc: BaseException
+) -> None:
+    """Book an attempt that raised (a timeout is booked by the pool loop)."""
+    _charge(outcome, attempt, started)
+    get_statistics().bump("service", "failures")
+    outcome.error = f"{type(exc).__name__}: {exc}"
+    outcome.error_code = getattr(exc, "code", None)

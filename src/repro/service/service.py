@@ -41,7 +41,7 @@ from ..observability import (
     use_tracer,
 )
 from ..workloads.suite import SUITE_SIZES
-from .cache import CacheStats, CompilationCache
+from .cache import CacheStats, CompilationCache, counting_into
 from .fingerprint import cache_key
 from .tiers import TieredCompilationCache
 from .resilience import (
@@ -221,23 +221,11 @@ class SuiteReport:
             f"{'verdict':<8} lint",
         ]
         for c in self.comparisons:
-            if c.functionally_equivalent is None:
-                verdict = "n/a"
-            elif c.functionally_equivalent:
-                verdict = "OK"
-            else:
-                verdict = "MISMATCH"
-            if c.lint_clean is None:
-                lint = "n/a"
-            elif c.lint_clean:
-                lint = "clean"
-            else:
-                lint = ",".join(c.lint.get("codes", [])) or "DIRTY"
             lines.append(
                 f"{c.kernel:<12} {c.cache_status:<6} {c.compile_seconds:>10.3f} "
                 f"{c.lookup_seconds * 1e3:>10.2f} "
                 f"{c.adaptor.latency:>10} {c.cpp.latency:>10} "
-                f"{c.latency_ratio:>7.3f}  {verdict:<8} {lint}"
+                f"{c.latency_ratio:>7.3f}  {c.verdict_cells()}"
             )
         if self.lint_clean is not None:
             dirty = self.lint_dirty
@@ -288,52 +276,22 @@ def _compile_job(payload: dict):
 
     Ambient observability does not cross process boundaries, so the parent
     ships ``trace``/``stats`` opt-ins in the payload; the worker then runs
-    under its own tracer/registry and returns the comparison (with its
-    serialized span tree attached) plus the counter dump for the parent to
-    merge.
-
-    When the chaos harness is armed, the payload carries a per-request
-    fault ``plan`` plus the current ``attempt``; crash/hang/slow faults
-    fire *before* the compile, corrupt-on-write *after* it.
+    :meth:`CompilationService._serial_job` under its own tracer/registry
+    and returns the comparison (with its serialized span tree attached)
+    plus the counter dump for the parent to merge.
     """
+    from ..observability import NULL_STATISTICS, NULL_TRACER
+
     service = CompilationService(
         cache_dir=payload["cache_dir"],
         jobs=1,
         device=payload["device"],
         backend=payload.get("backend"),
     )
-    from ..observability import NULL_STATISTICS, NULL_TRACER
-
-    plan = payload.get("chaos")
-    attempt = payload.get("attempt", 1)
-    if plan:
-        from ..testing.chaos import apply_chaos
-
-        apply_chaos(plan, attempt)
     tracer = Tracer(name=payload["kernel"]) if payload.get("trace") else NULL_TRACER
     registry = StatisticsRegistry() if payload.get("stats") else NULL_STATISTICS
     with use_tracer(tracer), use_statistics(registry):
-        comparison = service.compile_one(
-            payload["kernel"],
-            payload["config"],
-            sizes=payload["sizes"],
-            check_equivalence=payload["check_equivalence"],
-            seed=payload["seed"],
-            backend=payload.get("backend"),
-        )
-    if plan and plan.get("fault") == "corrupt-cache":
-        from ..testing.chaos import corrupt_after_write
-
-        key = cache_key(
-            payload["kernel"],
-            payload["sizes"],
-            payload["config"],
-            device=payload["device"],
-            check_equivalence=payload["check_equivalence"],
-            seed=payload["seed"],
-            backend=service.backend,
-        )
-        corrupt_after_write(plan, attempt, service.cache, key)
+        comparison = service._serial_job(payload)
     counters = registry.as_dict() if registry.enabled else None
     return comparison, service.cache.stats, counters
 
@@ -554,21 +512,20 @@ class CompilationService:
             jobs=self.jobs, kernels=len(payloads),
         ) as suite_span:
             if self.jobs == 1 or len(payloads) <= 1:
-                before = self.cache.stats.snapshot()
-                outcomes, results = run_serial(
-                    self._serial_job,
-                    payloads,
-                    policy=policy,
-                    labels=labels,
-                    configs=configs,
-                    prepare_fn=stamp_attempt,
-                )
+                with counting_into(report.cache_stats):
+                    outcomes, results = run_serial(
+                        self._serial_job,
+                        payloads,
+                        policy=policy,
+                        labels=labels,
+                        configs=configs,
+                        prepare_fn=stamp_attempt,
+                    )
                 report.outcomes = outcomes
                 for outcome in outcomes:
                     if outcome.index in results:
                         outcome.comparison_index = len(report.comparisons)
                         report.comparisons.append(results[outcome.index])
-                report.cache_stats.merge(self.cache.stats.since(before))
             else:
                 executor = ResilientExecutor(
                     _compile_job,
@@ -612,9 +569,10 @@ class CompilationService:
         return report
 
     def _serial_job(self, payload: dict) -> FlowComparison:
-        """In-process mirror of :func:`_compile_job` (the ``jobs=1`` path):
-        same chaos hooks, but compiling through this handle's own cache
-        object, so the batch's cache-stat accounting stays on it."""
+        """One batch request through this handle: the chaos plan's
+        pre-compile fault, :meth:`compile_one`, then its corrupt-on-write
+        fault.  The ``jobs=1`` path calls it directly; pool workers call
+        it on a private handle (:func:`_compile_job`)."""
         plan = payload.get("chaos")
         attempt = payload.get("attempt", 1)
         if plan:
@@ -636,10 +594,10 @@ class CompilationService:
                 payload["kernel"],
                 payload["sizes"],
                 payload["config"],
-                device=payload["device"],
+                device=self.device,
                 check_equivalence=payload["check_equivalence"],
                 seed=payload["seed"],
-                backend=payload.get("backend") or self.backend,
+                backend=resolve_backend_id(payload.get("backend") or self.backend),
             )
             corrupt_after_write(plan, attempt, self.cache, key)
         return comparison

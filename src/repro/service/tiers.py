@@ -201,8 +201,7 @@ class TieredCompilationCache:
                 "cache-load", category="cache", key=key[:12], tier="mem"
             ):
                 value = pickle.loads(payload)
-            self.stats.hits += 1
-            self.stats.mem_hits += 1
+            self.disk.count(hits=1, mem_hits=1)
             registry.bump("cache", "hits")
             registry.bump("cache", "mem_hits")
             return value
@@ -222,10 +221,10 @@ class TieredCompilationCache:
     def _remember(self, key: str, payload: bytes) -> None:
         registry = get_statistics()
         evicted = self.mem.put(key, payload)
-        self.stats.mem_stores += 1
+        self.disk.count(mem_stores=1)
         registry.bump("cache", "mem_stores")
         if evicted:
-            self.stats.mem_evictions += len(evicted)
+            self.disk.count(mem_evictions=len(evicted))
             registry.bump("cache", "mem_evictions", len(evicted))
 
     def contains(self, key: str) -> bool:

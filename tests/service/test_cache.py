@@ -138,6 +138,18 @@ class TestCorruption:
         assert cache.load("e" * 64) is None
         assert any(d.code == "REPRO-CACHE-002" for d in engine.diagnostics)
 
+    def test_code_does_not_depend_on_the_cache_path(self, tmp_path):
+        """The entry path is in every message; a root whose name holds
+        both "expected" and "format" must not turn junk into a version
+        mismatch."""
+        engine = DiagnosticEngine()
+        cache = CompilationCache(str(tmp_path / "expected-format-cache"), engine=engine)
+        path = self._store_one(cache)
+        with open(path, "wb") as fh:
+            fh.write(b"junk")
+        assert cache.load("e" * 64) is None
+        assert [d.code for d in engine.diagnostics] == ["REPRO-CACHE-001"]
+
     def test_required_load_raises_cache_error(self, cache):
         path = self._store_one(cache)
         with open(path, "wb") as fh:

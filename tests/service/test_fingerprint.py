@@ -6,12 +6,14 @@ import pytest
 
 from repro.flows import OptimizationConfig
 from repro.service import (
+    CompilationService,
     cache_key,
     config_fingerprint,
     kernel_fingerprint,
     pipeline_fingerprint,
 )
 from repro.service import fingerprint as fp_mod
+from repro.workloads import polybench
 from repro.workloads.suite import SUITE_SIZES
 
 GEMM_MINI = SUITE_SIZES["MINI"]["gemm"]
@@ -72,3 +74,39 @@ class TestSensitivity:
         before = cache_key("gemm", GEMM_MINI, cfg)
         monkeypatch.setattr(fp_mod, "PIPELINE_VERSION", fp_mod.PIPELINE_VERSION + 1)
         assert cache_key("gemm", GEMM_MINI, cfg) != before
+
+
+class TestKernelHashMemo:
+    """``kernel_fingerprint`` rebuilds and prints the kernel, so it is
+    memoised per process on (kernel, sorted sizes)."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        real = polybench.build_kernel
+
+        def counting_build(name, **sizes):
+            calls.append((name, sizes))
+            return real(name, **sizes)
+
+        monkeypatch.setattr(polybench, "build_kernel", counting_build)
+        fp_mod.kernel_fingerprint.cache_clear()
+        yield calls
+        fp_mod.kernel_fingerprint.cache_clear()
+
+    def test_same_kernel_and_sizes_build_once(self, builds):
+        cfg = OptimizationConfig.baseline()
+        cache_key("gemm", GEMM_MINI, cfg)
+        reordered = dict(reversed(list(GEMM_MINI.items())))
+        cache_key("gemm", reordered, OptimizationConfig.optimized(ii=1), seed=3)
+        assert len(builds) == 1
+        cache_key("gemm", SUITE_SIZES["SMALL"]["gemm"], cfg)
+        assert len(builds) == 2
+
+    def test_warm_hit_builds_no_kernel(self, builds, tmp_path):
+        service = CompilationService(cache_dir=str(tmp_path))
+        kwargs = dict(sizes=GEMM_MINI, check_equivalence=False)
+        assert service.compile_one("gemm", **kwargs).cache_status == "miss"
+        built = len(builds)
+        assert service.compile_one("gemm", **kwargs).cache_status == "hit"
+        assert len(builds) == built

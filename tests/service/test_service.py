@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.diagnostics.errors import PipelineConfigError
 from repro.flows import OptimizationConfig
-from repro.service import CompilationService, resolve_config
+from repro.service import CompilationService, CompileRequest, resolve_config
 from repro.service import fingerprint as fp_mod
 from repro.workloads.suite import SUITE_SIZES
 
@@ -72,6 +75,74 @@ class TestColdWarm:
         assert warm.cache_stats.hit_rate == 1.0
         summary = warm.summary()
         assert "hit rate" in summary and "gemm" in summary
+
+    def test_concurrent_batches_count_only_their_own_lookups(self, service):
+        """Two threads share one handle, as the daemon's handler threads
+        do.  Batch A's lookup is held until batch B has run start to
+        finish, so a diff of the shared counters would charge B's hit to
+        A as well."""
+        request = CompileRequest(
+            "gemm", "baseline", size_class="MINI", check_equivalence=False
+        )
+        service.compile_batch([request])  # warm the cache
+        load = service.cache.load
+        a_in_load, b_done = threading.Event(), threading.Event()
+
+        def held_load(key, required=False):
+            if threading.current_thread().name == "batch-a":
+                a_in_load.set()
+                assert b_done.wait(60)
+            return load(key, required=required)
+
+        service.cache.load = held_load
+        reports = {}
+        thread_a = threading.Thread(
+            target=lambda: reports.update(a=service.compile_batch([request])),
+            name="batch-a",
+        )
+        thread_a.start()
+        assert a_in_load.wait(60)
+        reports["b"] = service.compile_batch([request])
+        b_done.set()
+        thread_a.join(60)
+        assert not thread_a.is_alive()
+        for name in ("a", "b"):
+            stats = reports[name].cache_stats
+            assert (stats.hits, stats.lookups, stats.stores) == (1, 1, 0), name
+        # The shared handle still sees every lookup: warm-up + A + B.
+        assert service.cache.stats.lookups == 3
+
+    def test_batch_stats_hold_under_thread_contention(self, service):
+        """More threads than cores, switching as often as the interpreter
+        allows: every batch counts exactly its own hits and the shared
+        handle loses none."""
+        requests = [
+            CompileRequest(name, "baseline", size_class="MINI", check_equivalence=False)
+            for name in SUBSET
+        ]
+        service.compile_batch(requests)  # warm the cache
+        threads, batches = 4, 5
+        reports = []
+
+        def client():
+            for _ in range(batches):
+                reports.append(service.compile_batch(requests))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=client) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(120)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(reports) == threads * batches
+        for report in reports:
+            assert (report.cache_stats.hits, report.cache_stats.lookups) == (3, 3)
+        assert service.cache.stats.hits == 3 * threads * batches
 
     def test_unknown_kernel_rejected(self, service):
         with pytest.raises(PipelineConfigError):
