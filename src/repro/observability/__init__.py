@@ -7,6 +7,9 @@ The subsystem has three pieces, all ambient and zero-cost-when-disabled:
   drivers, interpreter and compilation service;
 * :class:`StatisticsRegistry` / :func:`use_statistics` — LLVM
   ``-stats``-style named counters every pass and subsystem bumps;
+* :class:`PhaseClock` / :func:`timed_phase` — summed time and count per
+  named request phase (the compile daemon's queue/key/read/decode/
+  encode/write breakdown);
 * exporters — Chrome ``chrome://tracing`` trace-event JSON
   (:func:`chrome_trace`), human-readable summaries, counter diff tables,
   and a schema check (:func:`validate_chrome_trace`) CI runs on every
@@ -27,6 +30,7 @@ from .export import (
     stats_diff,
     trace_summary,
 )
+from .phases import PhaseClock, record_phase, timed_phase, use_phase_clock
 from .schema import check_chrome_trace, load_and_check, validate_chrome_trace
 from .stats import (
     NULL_STATISTICS,
@@ -49,6 +53,10 @@ __all__ = [
     "NULL_STATISTICS",
     "get_statistics",
     "use_statistics",
+    "PhaseClock",
+    "record_phase",
+    "timed_phase",
+    "use_phase_clock",
     "chrome_trace",
     "chrome_trace_events",
     "dump_chrome_trace",

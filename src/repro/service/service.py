@@ -37,6 +37,7 @@ from ..observability import (
     Tracer,
     get_statistics,
     get_tracer,
+    timed_phase,
     use_statistics,
     use_tracer,
 )
@@ -375,15 +376,16 @@ class CompilationService:
             f"compile:{kernel}", category="service",
             kernel=kernel, config=config_obj.name, backend=backend_id,
         ) as span:
-            key = cache_key(
-                kernel,
-                sizes,
-                config_obj,
-                device=self.device,
-                check_equivalence=check_equivalence,
-                seed=seed,
-                backend=backend_id,
-            )
+            with timed_phase("key"):
+                key = cache_key(
+                    kernel,
+                    sizes,
+                    config_obj,
+                    device=self.device,
+                    check_equivalence=check_equivalence,
+                    seed=seed,
+                    backend=backend_id,
+                )
             lookup_start = time.perf_counter()
             cached = self.cache.load(key)
             lookup_elapsed = time.perf_counter() - lookup_start
