@@ -35,6 +35,7 @@ from ..ir.snapshot import ModuleSnapshot
 from ..ir.transforms import DeadCodeElimination, PassManager
 from ..ir.transforms.pass_manager import ModulePass, PassStatistics
 from ..ir.verifier import VerificationError, verify_module
+from ..lint.linter import LintReport
 from ..observability import get_statistics, get_tracer
 from .attr_scrub import AttributeScrub
 from .freeze_elim import FreezeElimination
@@ -131,7 +132,7 @@ class AdaptorReport:
     auto_disabled: Sequence[str] = ()
     degradations: List[Degradation] = field(default_factory=list)
     diagnostics: List[Diagnostic] = field(default_factory=list)
-    lint: Optional[object] = None  # Optional[repro.lint.LintReport]
+    lint: Optional[LintReport] = None
 
     @property
     def total_rewrites(self) -> int:

@@ -12,7 +12,6 @@ graceful degradation and crash reproducers.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Union
 
@@ -24,6 +23,7 @@ from ..ir.transforms import standard_cleanup_pipeline
 from ..mlir.passes import convert_to_llvm, lowering_pipeline
 from ..observability import get_tracer
 from ..workloads.polybench import KernelSpec
+from .record import CODEC_KEY, MODULE_TEXT, ModuleText
 from .stage import flow_stage
 
 __all__ = ["AdaptorFlowResult", "run_adaptor_flow"]
@@ -31,13 +31,33 @@ __all__ = ["AdaptorFlowResult", "run_adaptor_flow"]
 
 @dataclass
 class AdaptorFlowResult:
+    """The adaptor flow's output.  ``ir`` is the final module: live when
+    the flow ran in this process, printed text when the result came from
+    a record (:mod:`repro.flows.record`); :attr:`ir_module` and
+    :attr:`ir_text` read either way."""
+
     kernel: str
-    ir_module: Module
+    ir: ModuleText = field(metadata={CODEC_KEY: MODULE_TEXT})
     adaptor_report: AdaptorReport
     synth_report: SynthReport
     timings: Dict[str, float] = field(default_factory=dict)
-    modern_ir_module: Optional[Module] = None  # pre-adaptor snapshot
+    # Pre-adaptor snapshot (``keep_modern_snapshot=True``).
+    modern_ir: Optional[ModuleText] = field(
+        default=None, metadata={CODEC_KEY: MODULE_TEXT}
+    )
     raw_instruction_count: int = 0  # straight out of MLIR lowering
+
+    @property
+    def ir_module(self) -> Module:
+        return self.ir.module
+
+    @property
+    def ir_text(self) -> str:
+        return self.ir.text
+
+    @property
+    def modern_ir_module(self) -> Optional[Module]:
+        return self.modern_ir.module if self.modern_ir is not None else None
 
     @property
     def lint_report(self):
@@ -115,10 +135,10 @@ def run_adaptor_flow(
 
     return AdaptorFlowResult(
         kernel=spec.name,
-        ir_module=ir_module,
+        ir=ModuleText(ir_module),
         adaptor_report=adaptor_report,
         synth_report=synth_report,
         timings=timings,
-        modern_ir_module=modern_snapshot,
+        modern_ir=ModuleText(modern_snapshot) if modern_snapshot is not None else None,
         raw_instruction_count=raw_count,
     )

@@ -4,7 +4,7 @@ and the expression-detail retention metrics (reconstructed Fig. 2)."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -18,6 +18,7 @@ from ..workloads.polybench import KernelSpec, build_kernel
 from .adaptor_flow import AdaptorFlowResult, run_adaptor_flow
 from .config import OptimizationConfig
 from .cpp_flow import CppFlowResult, run_cpp_flow
+from .record import CODEC_KEY, FIXED_WIDTH_FLOAT, from_record, to_record
 
 __all__ = [
     "RetentionMetrics",
@@ -98,7 +99,9 @@ class FlowComparison:
     # the speedup texts report honest numbers for warm rows.
     cache_status: str = "computed"
     compile_seconds: float = 0.0
-    lookup_seconds: float = 0.0
+    # Set anew on every serving, so written fixed-width: a record's size
+    # depends only on what was compiled.
+    lookup_seconds: float = field(default=0.0, metadata={CODEC_KEY: FIXED_WIDTH_FLOAT})
     # Serialized observability span tree (Span.to_dict) of the compile
     # that produced this row, when it ran under an enabled tracer.  Rides
     # through the cache, so a hit still explains where its time went.
@@ -109,6 +112,19 @@ class FlowComparison:
     # Which synthesis backend produced both flows' numbers
     # (repro.backends registry id).
     backend: str = "static"
+
+    def to_record(self) -> Dict[str, Any]:
+        """This comparison as a JSON compile record
+        (:mod:`repro.flows.record`): the reports, verdicts, timings,
+        provenance, the generated C++ and each flow's printed IR."""
+        return to_record(self)
+
+    @classmethod
+    def from_record(cls, record: Any) -> "FlowComparison":
+        """The comparison a :meth:`to_record` value describes; each flow's
+        ``ir_module`` is parsed from its text on first use.  Raises
+        :class:`~repro.flows.record.RecordError` on a malformed record."""
+        return from_record(cls, record)
 
     @property
     def lint_clean(self) -> Optional[bool]:

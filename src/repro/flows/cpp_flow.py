@@ -16,6 +16,7 @@ from ..ir import Module
 from ..ir.transforms import standard_cleanup_pipeline
 from ..observability import get_tracer
 from ..workloads.polybench import KernelSpec
+from .record import CODEC_KEY, MODULE_TEXT, ModuleText
 from .stage import flow_stage
 
 __all__ = ["CppFlowResult", "run_cpp_flow"]
@@ -23,12 +24,23 @@ __all__ = ["CppFlowResult", "run_cpp_flow"]
 
 @dataclass
 class CppFlowResult:
+    """The HLS-C++ flow's output; ``ir`` is held like
+    :attr:`AdaptorFlowResult.ir`."""
+
     kernel: str
     cpp_source: str
-    ir_module: Module
+    ir: ModuleText = field(metadata={CODEC_KEY: MODULE_TEXT})
     synth_report: SynthReport
     timings: Dict[str, float] = field(default_factory=dict)
     raw_instruction_count: int = 0  # straight out of the C frontend
+
+    @property
+    def ir_module(self) -> Module:
+        return self.ir.module
+
+    @property
+    def ir_text(self) -> str:
+        return self.ir.text
 
     @property
     def latency(self) -> int:
@@ -67,7 +79,7 @@ def run_cpp_flow(
     return CppFlowResult(
         kernel=spec.name,
         cpp_source=cpp_source,
-        ir_module=ir_module,
+        ir=ModuleText(ir_module),
         synth_report=synth_report,
         timings=timings,
         raw_instruction_count=raw_count,

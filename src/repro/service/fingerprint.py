@@ -59,7 +59,10 @@ PIPELINE_VERSION = 5
 #: 4: the store moved from a flat ``entries/`` tree to sharded
 #: ``shards/<prefix>/`` segments with a layout manifest; an old
 #: ``entries/`` tree is ignored and simply misses.
-CACHE_FORMAT_VERSION = 4
+#: 5: the payload is the comparison's JSON compile record (reports,
+#: verdicts, timings, provenance, printed IR) instead of a pickle of the
+#: live object; a format-4 pickle entry misses and is never unpickled.
+CACHE_FORMAT_VERSION = 5
 
 
 def _sha256(text: str) -> str:

@@ -116,6 +116,54 @@ class TestCorruption:
         assert cache.load("e" * 64) is None
         assert cache.stats.corrupt == 1
 
+    def test_pickle_payload_is_a_miss_and_never_runs(self, tmp_path):
+        """A checksum-clean entry holding a pickle (a format-4 entry
+        relabelled, or a planted one) is refused without unpickling."""
+        import hashlib
+
+        ran = []
+
+        class Gadget:
+            def __reduce__(self):
+                return (ran.append, ("unpickled",))
+
+        engine = DiagnosticEngine()
+        cache = CompilationCache(str(tmp_path), engine=engine)
+        path = self._store_one(cache)
+        bogus = pickle.dumps(Gadget(), protocol=pickle.HIGHEST_PROTOCOL)
+        header = {
+            "format": fp_mod.CACHE_FORMAT_VERSION,
+            "key": "e" * 64,
+            "payload_sha256": hashlib.sha256(bogus).hexdigest(),
+            "payload_bytes": len(bogus),
+        }
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(header).encode() + b"\n" + bogus)
+        assert cache.load("e" * 64) is None
+        assert ran == []
+        assert [d.code for d in engine.diagnostics] == ["REPRO-CACHE-001"]
+        assert not os.path.exists(path)
+
+    def test_format_4_entry_misses_with_cache_002(self, tmp_path):
+        """An entry written by the pickle-payload format reads as a
+        version mismatch: a miss, its payload never decoded."""
+        engine = DiagnosticEngine()
+        cache = CompilationCache(str(tmp_path), engine=engine)
+        path = self._store_one(cache)
+        payload = pickle.dumps({"payload": 1}, protocol=pickle.HIGHEST_PROTOCOL)
+        import hashlib
+
+        header = {
+            "format": 4,
+            "key": "e" * 64,
+            "payload_sha256": hashlib.sha256(payload).hexdigest(),
+            "payload_bytes": len(payload),
+        }
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(header).encode() + b"\n" + payload)
+        assert cache.load("e" * 64) is None
+        assert [d.code for d in engine.diagnostics] == ["REPRO-CACHE-002"]
+
     def test_corruption_emits_diagnostic(self, tmp_path):
         engine = DiagnosticEngine()
         cache = CompilationCache(str(tmp_path), engine=engine)

@@ -1,18 +1,19 @@
 """LRU memory-tier invariants and the tiered (memory + disk) cache.
 
-The hot tier is a bounded LRU over pickled payloads.  These tests pin
+The hot tier is a bounded LRU over parsed payloads, sized as their
+encoded bytes.  These tests pin
 the hard invariants — capacity is never exceeded (entries *and* bytes),
 eviction order matches recency, evicted entries are still served from
 disk — and that the counters reconcile with the operations performed.
 """
 
 import os
-import pickle
 
 import pytest
 
 from repro.diagnostics import DiagnosticEngine
 from repro.observability import StatisticsRegistry, use_statistics
+from repro.service.cache import encode_payload
 from repro.service.tiers import MemoryTier, TieredCompilationCache
 
 KEY_A = "aa" + "0" * 62
@@ -203,6 +204,4 @@ class TestTieredCompilationCache:
         cache.store(KEY_A, "a")
         stats = cache.disk_stats()
         assert stats["memory"]["entries"] == 1
-        assert stats["memory"]["bytes"] == len(
-            pickle.dumps("a", protocol=pickle.HIGHEST_PROTOCOL)
-        )
+        assert stats["memory"]["bytes"] == len(encode_payload("a"))
