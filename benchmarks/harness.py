@@ -118,7 +118,6 @@ def run_suite(config_name: str = "baseline") -> List[FlowComparison]:
         )
     else:
         report = _run_suite(config_name)
-    write_result(f"service_report_{config_name}", report.summary())
     return report.comparisons
 
 
